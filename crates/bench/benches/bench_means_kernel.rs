@@ -1,8 +1,14 @@
 //! Criterion benches of the A2SGD kernels themselves: the split-means
-//! pass, the residual transform, and the global-mean restore — the three
-//! O(n) passes that constitute A2SGD's entire per-iteration compute.
+//! pass, the fused residual+restore pass, and the two together — the O(n)
+//! passes that constitute A2SGD's entire per-iteration compute.
+//!
+//! The passes run in place on one buffer per size, so no row times a copy
+//! of its input. `fused` and `full_round` restore with the local means,
+//! which leaves the gradient as it was up to rounding; the kernels are
+//! branch-free, so the few values that rounding moves do not change the
+//! timing.
 
-use a2sgd::mean2::{residual_in_place, restore_with_global_means, split_means};
+use a2sgd::mean2::{residual_restore_in_place, split_means};
 use a2sgd_bench::synthetic_gradient;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -10,25 +16,23 @@ fn bench_means(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2sgd_kernels");
     group.sample_size(10);
     for &n in &[65_536usize, 1_048_576, 16_777_216] {
-        let g = synthetic_gradient(n, n as u64);
+        let mut g = synthetic_gradient(n, n as u64);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("split_means", n), &g, |b, g| {
             b.iter(|| std::hint::black_box(split_means(g)))
         });
-        group.bench_with_input(BenchmarkId::new("residual", n), &g, |b, g| {
-            let m = split_means(g);
+        let m = split_means(&g);
+        group.bench_function(&format!("fused/{n}"), |b| {
             b.iter(|| {
-                let mut tmp = g.clone();
-                std::hint::black_box(residual_in_place(&mut tmp, &m))
+                residual_restore_in_place(&mut g, &m, m.mu_pos, m.mu_neg);
+                std::hint::black_box(g[0])
             })
         });
-        group.bench_with_input(BenchmarkId::new("full_round", n), &g, |b, g| {
+        group.bench_function(&format!("full_round/{n}"), |b| {
             b.iter(|| {
-                let mut tmp = g.clone();
-                let m = split_means(&tmp);
-                let mask = residual_in_place(&mut tmp, &m);
-                restore_with_global_means(&mut tmp, &mask, m.mu_pos * 0.9, m.mu_neg * 1.1);
-                std::hint::black_box(tmp[0])
+                let m = split_means(&g);
+                residual_restore_in_place(&mut g, &m, m.mu_pos, m.mu_neg);
+                std::hint::black_box(g[0])
             })
         });
     }

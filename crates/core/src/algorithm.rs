@@ -1,6 +1,6 @@
 //! Algorithm 1: the A2SGD gradient synchronizer.
 
-use crate::mean2::{residual_in_place, restore_with_global_means, split_means};
+use crate::mean2::{residual_restore_in_place, split_means};
 use cluster_comm::{CommHandle, Payload};
 use gradcomp::{GradientSynchronizer, SyncStats};
 use std::ops::Range;
@@ -19,10 +19,11 @@ use std::time::Instant;
 /// worker — both means bit-packed into a single `u64`
 /// ([`A2sgd::encode_means`]) gathered across ranks and averaged locally
 /// (the paper's §4.4 gather formulation; identical result, and the packet
-/// that crosses a real socket is *measurably* 64 payload bits). The
-/// gather is launched as a *nonblocking* collective right after the means
-/// are known, so the network time hides behind the line-4 residual pass —
-/// lines 4 and 5 commute (ε is worker-local) and the result is unchanged.
+/// that crosses a real socket is *measurably* 64 payload bits). Lines 4
+/// and 5 commute (ε is worker-local), so the gather runs first and lines
+/// 4 and 6 then share one pass over the gradient
+/// ([`residual_restore_in_place`]). The whole O(n) compute is two passes:
+/// the means before the gather and the fused pass after it.
 ///
 /// The residual is applied in the *same* iteration, so no cross-iteration
 /// memory exists; worker replicas drift only by their private residuals and
@@ -70,11 +71,11 @@ impl GradientSynchronizer for A2sgd {
 
     /// A2SGD's exchange is already a single 64-bit packet for the whole
     /// model — there is nothing to cut at bucket boundaries, so `bounds`
-    /// only shapes *when* the packet flies: it is launched (nonblocking)
-    /// before the residual pass, hiding the allgather behind the O(n)
-    /// restore compute. Results are trivially identical for every
-    /// partition; the degenerate bucketing is the honest statement of the
-    /// paper's O(1) claim, not a missed optimization.
+    /// is ignored: the packet flies once the means are known, and the
+    /// fused residual+restore pass runs when it lands. Results are
+    /// trivially identical for every partition; the degenerate bucketing
+    /// is the honest statement of the paper's O(1) claim, not a missed
+    /// optimization.
     fn sync_bucketed(
         &mut self,
         grad: &mut [f32],
@@ -86,25 +87,16 @@ impl GradientSynchronizer for A2sgd {
         let compress_head = t0.elapsed().as_secs_f64();
         comm.advance_compute(compress_head);
 
-        // Line 5: the entire inter-worker exchange — one packed u64,
-        // launched before the residual pass so the network hides behind it.
+        // Line 5: the entire inter-worker exchange — one packed u64.
         let bits_before = comm.stats().logical_wire_bits;
         let packet = Payload::PackedU64(vec![Self::encode_means(means.mu_pos, means.mu_neg)]);
         let tx = Instant::now();
-        let handle = comm.start_allgather_bytes(packet);
-        let mut exchange_seconds = tx.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let mask = residual_in_place(grad, &means);
-        let residual_seconds = t1.elapsed().as_secs_f64();
-        comm.advance_compute(residual_seconds);
-
-        let tx = Instant::now();
-        let gathered = handle
+        let gathered = comm
+            .start_allgather_bytes(packet)
             .wait(comm)
             .unwrap_or_else(|e| panic!("A2SGD means exchange failed: {e}"))
             .expect_gathered();
-        exchange_seconds += tx.elapsed().as_secs_f64();
+        let exchange_seconds = tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / gathered.len() as f32;
         let (mut gmu_pos, mut gmu_neg) = (0.0f32, 0.0f32);
@@ -123,14 +115,15 @@ impl GradientSynchronizer for A2sgd {
         }
         let dispersion = dispersion_of(&magnitudes);
 
-        let t2 = Instant::now();
-        restore_with_global_means(grad, &mask, gmu_pos * inv, gmu_neg * inv);
-        let restore_seconds = t2.elapsed().as_secs_f64();
-        comm.advance_compute(restore_seconds);
+        // Lines 4 and 6 in one pass, keyed on each element's original sign.
+        let t1 = Instant::now();
+        residual_restore_in_place(grad, &means, gmu_pos * inv, gmu_neg * inv);
+        let fused_seconds = t1.elapsed().as_secs_f64();
+        comm.advance_compute(fused_seconds);
 
         debug_assert_eq!(wire_bits, Self::WIRE_BITS);
         SyncStats {
-            compress_seconds: compress_head + residual_seconds + restore_seconds,
+            compress_seconds: compress_head + fused_seconds,
             exchange_seconds,
             wire_bits,
             dispersion: Some(dispersion),

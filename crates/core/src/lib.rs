@@ -7,8 +7,9 @@
 //! per-coordinate variance by adding back the locally-retained residual
 //! `ε = g − enc(g)` within the same iteration (Algorithm 1).
 //!
-//! * [`mean2`] — the single-pass two-level averaging kernels (`split_means`,
-//!   `enc`, residual) — the O(n)-compute / O(1)-communication heart.
+//! * [`mean2`] — the two-pass two-level averaging kernels (`split_means`,
+//!   then the fused residual+restore pass) — the O(n)-compute /
+//!   O(1)-communication heart.
 //! * [`algorithm`] — [`algorithm::A2sgd`], the Algorithm-1
 //!   [`gradcomp::GradientSynchronizer`].
 //! * [`variants`] — extensions: the paper's §4.4 future-work
@@ -42,7 +43,7 @@ pub use a2sgd_sched::{SchedKind, SyncSchedule};
 pub use algorithm::A2sgd;
 pub use checkpoint::{Checkpoint, SchedCheckpoint};
 pub use cluster_comm::CommBackend;
-pub use mean2::{enc_into, restore_with_global_means, split_means, TwoMeans};
+pub use mean2::{enc_into, residual_restore_in_place, split_means, TwoMeans};
 pub use overlap::{HookLayout, HookedStep};
 pub use registry::AlgoKind;
 pub use trainer::{OptKind, TrainConfig, TrainReport};

@@ -13,9 +13,8 @@
 //!   (L = 1 reduces to A2SGD). Communication is `2·L` floats — still O(1)
 //!   in n — trading a little bandwidth for lower encoding distortion.
 
-use crate::mean2::{residual_in_place, restore_with_global_means, split_means};
+use crate::mean2::{residual_enc_split, residual_restore_in_place, split_means};
 use cluster_comm::{CommHandle, Payload};
-use gradcomp::ef::ErrorFeedback;
 use gradcomp::{GradientSynchronizer, SyncStats};
 use std::ops::Range;
 use std::time::Instant;
@@ -37,8 +36,8 @@ impl GradientSynchronizer for A2sgdAllgather {
     }
 
     /// Like [`A2sgd`](crate::algorithm::A2sgd), the exchange is O(1) —
-    /// `bounds` is ignored and the nonblocking allgather hides behind the
-    /// residual pass.
+    /// `bounds` is ignored: the means are gathered, then one fused
+    /// residual+restore pass applies them.
     fn sync_bucketed(
         &mut self,
         grad: &mut [f32],
@@ -54,21 +53,12 @@ impl GradientSynchronizer for A2sgdAllgather {
         // rank — the same 64 wire bits as the packed-u64 packet.
         let bits_before = comm.stats().logical_wire_bits;
         let tx = Instant::now();
-        let handle =
-            comm.start_allgather_bytes(Payload::F32Dense(vec![means.mu_pos, means.mu_neg]));
-        let mut exchange_seconds = tx.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let mask = residual_in_place(grad, &means);
-        let residual_seconds = t1.elapsed().as_secs_f64();
-        comm.advance_compute(residual_seconds);
-
-        let tx = Instant::now();
-        let gathered = handle
+        let gathered = comm
+            .start_allgather_bytes(Payload::F32Dense(vec![means.mu_pos, means.mu_neg]))
             .wait(comm)
             .unwrap_or_else(|e| panic!("A2SGD-AG means exchange failed: {e}"))
             .expect_gathered();
-        exchange_seconds += tx.elapsed().as_secs_f64();
+        let exchange_seconds = tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / gathered.len() as f32;
         let (mut gp, mut gn) = (0.0f32, 0.0f32);
@@ -77,9 +67,12 @@ impl GradientSynchronizer for A2sgdAllgather {
             gp += pair[0];
             gn += pair[1];
         }
-        restore_with_global_means(grad, &mask, gp * inv, gn * inv);
+        let t1 = Instant::now();
+        residual_restore_in_place(grad, &means, gp * inv, gn * inv);
+        let fused_seconds = t1.elapsed().as_secs_f64();
+        comm.advance_compute(fused_seconds);
         SyncStats {
-            compress_seconds: compress_head + residual_seconds,
+            compress_seconds: compress_head + fused_seconds,
             exchange_seconds,
             wire_bits,
             ..SyncStats::default()
@@ -95,17 +88,17 @@ impl GradientSynchronizer for A2sgdAllgather {
     }
 }
 
-/// Carried-error ablation: residual goes into classic EF memory instead of
-/// the same-iteration restore.
+/// Carried-error ablation: residual goes into classic error-feedback
+/// memory instead of the same-iteration restore.
 pub struct A2sgdCarry {
-    ef: ErrorFeedback,
-    acc: Vec<f32>,
+    /// The carried residual; during a sync it holds `g + memory`.
+    memory: Vec<f32>,
 }
 
 impl A2sgdCarry {
     /// Creates the ablation for an `n`-parameter model.
     pub fn new(n: usize) -> Self {
-        A2sgdCarry { ef: ErrorFeedback::new(n), acc: vec![0.0; n] }
+        A2sgdCarry { memory: vec![0.0; n] }
     }
 }
 
@@ -115,8 +108,8 @@ impl GradientSynchronizer for A2sgdCarry {
     }
 
     /// O(1) exchange — `bounds` is ignored (see
-    /// [`A2sgd`](crate::algorithm::A2sgd)); the error-feedback update
-    /// overlaps the in-flight allreduce.
+    /// [`A2sgd`](crate::algorithm::A2sgd)). After the allreduce of the
+    /// means, one pass writes both the carried residual and the update.
     fn sync_bucketed(
         &mut self,
         grad: &mut [f32],
@@ -124,9 +117,11 @@ impl GradientSynchronizer for A2sgdCarry {
         comm: &mut CommHandle,
     ) -> SyncStats {
         let t0 = Instant::now();
-        self.acc.copy_from_slice(grad);
-        self.ef.apply(&mut self.acc);
-        let means = split_means(&self.acc);
+        assert_eq!(grad.len(), self.memory.len());
+        for (m, g) in self.memory.iter_mut().zip(grad.iter()) {
+            *m += *g;
+        }
+        let means = split_means(&self.memory);
         let compress_head = t0.elapsed().as_secs_f64();
         comm.advance_compute(compress_head);
 
@@ -135,34 +130,24 @@ impl GradientSynchronizer for A2sgdCarry {
         // wire encoding, no override needed.
         let bits_before = comm.stats().logical_wire_bits;
         let tx = Instant::now();
-        let handle = comm.start_allreduce(vec![means.mu_pos, means.mu_neg]);
-        let mut exchange_seconds = tx.elapsed().as_secs_f64();
-
-        // Transmit enc(acc); memory keeps acc − enc(acc) — computed while
-        // the two-float frame is in flight.
-        let t1 = Instant::now();
-        let mut enc = vec![0.0f32; grad.len()];
-        crate::mean2::enc_into(&self.acc, &means, &mut enc);
-        self.ef.absorb(&self.acc, &enc);
-        let ef_seconds = t1.elapsed().as_secs_f64();
-        comm.advance_compute(ef_seconds);
-
-        let tx = Instant::now();
-        let payload = handle
+        let payload = comm
+            .start_allreduce(vec![means.mu_pos, means.mu_neg])
             .wait(comm)
             .unwrap_or_else(|e| panic!("A2SGD-carry means exchange failed: {e}"))
             .expect_reduced();
-        exchange_seconds += tx.elapsed().as_secs_f64();
+        let exchange_seconds = tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
         let inv = 1.0 / comm.world() as f32;
         let (gp, gn) = (payload[0] * inv, payload[1] * inv);
-        // The update this worker applies is enc with global means, using
-        // its own sign pattern — no ε added back this iteration.
-        let mask = crate::mean2::SignMask::capture(&self.acc);
-        grad.fill(0.0);
-        restore_with_global_means(grad, &mask, gp, gn);
+        // Memory keeps acc − enc(acc); the update this worker applies is
+        // enc with global means, using its own sign pattern — no ε added
+        // back this iteration.
+        let t1 = Instant::now();
+        residual_enc_split(&mut self.memory, grad, &means, gp, gn);
+        let fused_seconds = t1.elapsed().as_secs_f64();
+        comm.advance_compute(fused_seconds);
         SyncStats {
-            compress_seconds: compress_head + ef_seconds,
+            compress_seconds: compress_head + fused_seconds,
             exchange_seconds,
             wire_bits,
             ..SyncStats::default()
@@ -410,7 +395,7 @@ mod tests {
             let mut g = vec![1.0f32, 3.0, -1.0, -3.0]; // µ+ = 2, µ− = 2
             c.synchronize(&mut g, h);
             // residual = acc − enc = [−1, 1, 1, −1]
-            assert_eq!(c.ef.residual(), &[-1.0, 1.0, 1.0, -1.0]);
+            assert_eq!(c.memory, [-1.0, 1.0, 1.0, -1.0]);
             0
         });
     }

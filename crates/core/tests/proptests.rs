@@ -2,7 +2,7 @@
 //! §3.1 identities must hold for *arbitrary* gradients, not just Gaussian
 //! ones.
 
-use a2sgd::mean2::{enc_into, residual_in_place, restore_with_global_means, split_means};
+use a2sgd::mean2::{enc_into, residual_restore_in_place, split_means};
 use proptest::prelude::*;
 
 fn grad() -> impl Strategy<Value = Vec<f32>> {
@@ -38,7 +38,7 @@ proptest! {
         let mut enc = vec![0.0f32; g.len()];
         enc_into(&g, &m, &mut enc);
         let mut eps = g.clone();
-        let _ = residual_in_place(&mut eps, &m);
+        residual_restore_in_place(&mut eps, &m, 0.0, 0.0);
         for i in 0..g.len() {
             prop_assert!((enc[i] + eps[i] - g[i]).abs() < 1e-3 * (1.0 + g[i].abs()));
         }
@@ -48,8 +48,7 @@ proptest! {
     fn restore_with_local_means_round_trips(g in grad()) {
         let m = split_means(&g);
         let mut work = g.clone();
-        let mask = residual_in_place(&mut work, &m);
-        restore_with_global_means(&mut work, &mask, m.mu_pos, m.mu_neg);
+        residual_restore_in_place(&mut work, &m, m.mu_pos, m.mu_neg);
         for (a, b) in work.iter().zip(&g) {
             prop_assert!((a - b).abs() < 1e-3 * (1.0 + b.abs()));
         }
@@ -61,8 +60,7 @@ proptest! {
         // coordinates by +dp and negative ones by −dn exactly.
         let m = split_means(&g);
         let mut work = g.clone();
-        let mask = residual_in_place(&mut work, &m);
-        restore_with_global_means(&mut work, &mask, m.mu_pos + dp, m.mu_neg + dn);
+        residual_restore_in_place(&mut work, &m, m.mu_pos + dp, m.mu_neg + dn);
         for i in 0..g.len() {
             let expect = if g[i] >= 0.0 { g[i] + dp } else { g[i] - dn };
             prop_assert!((work[i] - expect).abs() < 1e-3 * (1.0 + expect.abs()));
@@ -76,7 +74,7 @@ proptest! {
         let m = split_means(&g);
         let norm_g: f64 = g.iter().map(|v| (*v as f64).powi(2)).sum();
         let mut eps = g.clone();
-        let _ = residual_in_place(&mut eps, &m);
+        residual_restore_in_place(&mut eps, &m, 0.0, 0.0);
         let norm_e: f64 = eps.iter().map(|v| (*v as f64).powi(2)).sum();
         prop_assert!(norm_e <= norm_g + 1e-3 * (1.0 + norm_g));
     }

@@ -204,7 +204,6 @@ fn sync_gradient(
         SyncKind::Dense => comm.try_allreduce_avg(g),
         SyncKind::A2sgd => {
             let means = a2sgd::split_means(g);
-            let mask = a2sgd::mean2::residual_in_place(g, &means);
             let packet = [
                 means.mu_pos.to_bits() as u64,
                 means.mu_neg.to_bits() as u64,
@@ -222,7 +221,7 @@ fn sync_gradient(
             }
             let mu_pos = if np > 0 { (pos / np as f64) as f32 } else { 0.0 };
             let mu_neg = if nn > 0 { (neg / nn as f64) as f32 } else { 0.0 };
-            a2sgd::restore_with_global_means(g, &mask, mu_pos, mu_neg);
+            a2sgd::residual_restore_in_place(g, &means, mu_pos, mu_neg);
             Ok(())
         }
     }

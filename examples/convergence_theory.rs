@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release --example convergence_theory`
 
-use a2sgd::mean2::{residual_in_place, restore_with_global_means, split_means};
+use a2sgd::mean2::{residual_restore_in_place, split_means};
 use a2sgd::theory::{affine_bound_fit, DistributedQuadratic};
 use mini_tensor::rng::SeedRng;
 
@@ -32,18 +32,16 @@ fn main() {
         let mut grads: Vec<Vec<f32>> = (0..workers).map(|p| q.grad(p, &w, &mut rng)).collect();
         let mut sum_p = 0.0f32;
         let mut sum_n = 0.0f32;
-        let mut masks = Vec::new();
-        for g in grads.iter_mut() {
-            let m = split_means(g);
-            masks.push(residual_in_place(g, &m));
+        let means: Vec<_> = grads.iter().map(|g| split_means(g)).collect();
+        for m in &means {
             sum_p += m.mu_pos;
             sum_n += m.mu_neg;
         }
         let (gp, gn) = (sum_p / workers as f32, sum_n / workers as f32);
         // Every worker applies ε + global means; the *model state* follows
         // worker 0 (replicas differ only by their residuals).
-        for (g, mask) in grads.iter_mut().zip(&masks) {
-            restore_with_global_means(g, mask, gp, gn);
+        for (g, m) in grads.iter_mut().zip(&means) {
+            residual_restore_in_place(g, m, gp, gn);
         }
         let gnorm2: f64 = grads[0].iter().map(|v| (*v as f64).powi(2)).sum();
         let h = q.h(&w);

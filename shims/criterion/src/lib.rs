@@ -106,14 +106,21 @@ where
             return;
         }
     }
-    let mut b = Bencher { test_mode: c.test_mode, samples, best_s: f64::INFINITY, mean_s: 0.0 };
+    let mut b = Bencher {
+        test_mode: c.test_mode,
+        samples,
+        best_s: f64::INFINITY,
+        median_s: 0.0,
+        mean_s: 0.0,
+    };
     f(&mut b);
     if c.test_mode {
         println!("test {id} ... ok");
     } else if b.best_s.is_finite() {
         println!(
-            "{id}: best {:.3} ms, mean {:.3} ms ({samples} samples)",
+            "{id}: best {:.3} ms, median {:.3} ms, mean {:.3} ms ({samples} samples)",
             b.best_s * 1e3,
+            b.median_s * 1e3,
             b.mean_s * 1e3
         );
     }
@@ -124,12 +131,14 @@ pub struct Bencher {
     test_mode: bool,
     samples: usize,
     best_s: f64,
+    median_s: f64,
     mean_s: f64,
 }
 
 impl Bencher {
     /// Times `f`: once in `--test` mode, otherwise one warmup plus
-    /// `sample_size` timed samples (best + mean retained).
+    /// `sample_size` timed samples (best, median and mean retained; the
+    /// median of an even count is the upper middle sample).
     pub fn iter<O, F>(&mut self, mut f: F)
     where
         F: FnMut() -> O,
@@ -139,17 +148,17 @@ impl Bencher {
             return;
         }
         std::hint::black_box(f()); // warmup
-        let mut total = 0.0;
-        let mut best = f64::INFINITY;
-        for _ in 0..self.samples {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            let dt = t0.elapsed().as_secs_f64();
-            total += dt;
-            best = best.min(dt);
-        }
-        self.best_s = best;
-        self.mean_s = total / self.samples as f64;
+        let mut times: Vec<f64> = (0..self.samples)
+            .map(|_| {
+                let t0 = Instant::now();
+                std::hint::black_box(f());
+                t0.elapsed().as_secs_f64()
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        self.best_s = times[0];
+        self.median_s = times[times.len() / 2];
+        self.mean_s = times.iter().sum::<f64>() / times.len() as f64;
     }
 }
 

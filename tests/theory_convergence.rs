@@ -2,7 +2,7 @@
 //! the A2SGD update converges to w* under Assumption-2 learning rates, and
 //! Assumption 3's affine gradient bound holds along the trajectory.
 
-use a2sgd::mean2::{residual_in_place, restore_with_global_means, split_means};
+use a2sgd::mean2::{residual_restore_in_place, split_means};
 use a2sgd::theory::{affine_bound_fit, assumption2_probe, DistributedQuadratic};
 use mini_tensor::rng::SeedRng;
 
@@ -12,15 +12,13 @@ fn a2sgd_step(q: &DistributedQuadratic, w: &[f32], rng: &mut SeedRng) -> Vec<f32
     let mut grads: Vec<Vec<f32>> = (0..workers).map(|p| q.grad(p, w, rng)).collect();
     let mut sp = 0.0f32;
     let mut sn = 0.0f32;
-    let mut masks = Vec::new();
-    for g in grads.iter_mut() {
-        let m = split_means(g);
-        masks.push(residual_in_place(g, &m));
+    let means: Vec<_> = grads.iter().map(|g| split_means(g)).collect();
+    for m in &means {
         sp += m.mu_pos;
         sn += m.mu_neg;
     }
     let (gp, gn) = (sp / workers as f32, sn / workers as f32);
-    restore_with_global_means(&mut grads[0], &masks[0], gp, gn);
+    residual_restore_in_place(&mut grads[0], &means[0], gp, gn);
     grads.swap_remove(0)
 }
 
