@@ -1,7 +1,8 @@
 //! Criterion bench behind the kernel-perf ledger (`BENCH_kernels.json`):
 //! the packed register-tiled [`Gemm`] core versus the legacy row-parallel
-//! triple loops it replaced, measured single-threaded
-//! (`RAYON_NUM_THREADS=1`) so the speedup is kernel shape, not core count.
+//! triple loops it replaced, measured single-threaded (every group runs
+//! inside a width-1 `ThreadPool::install`) so the speedup is kernel shape,
+//! not core count.
 //!
 //! Three groups:
 //! * `gemm_st` — square 128/256/512 products; the 512³ packed-vs-legacy
@@ -11,6 +12,9 @@
 //! * `gemm_prepacked` — the weight-stationary path (`pack_a`/`pack_b` once,
 //!   `run_packed` per item) that conv reuses across batch images and the
 //!   LSTM across timesteps.
+//! * `gemm_fork` — the `gemm::PAR_FLOPS` sweep, the one group run at width 2:
+//!   each shape forked across MC-row stripes against the calling thread
+//!   alone, including FNN-3's `fc` weight-gradient products.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mini_tensor::gemm::Gemm;
@@ -36,7 +40,6 @@ fn run_legacy(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
 }
 
 fn bench_square(c: &mut Criterion) {
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let mut group = c.benchmark_group("gemm_st");
     group.sample_size(10);
     for s in [128usize, 256, 512] {
@@ -56,7 +59,6 @@ fn bench_square(c: &mut Criterion) {
         });
     }
     group.finish();
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 /// The workspace's real hot shapes: (label, descriptor).
@@ -74,7 +76,6 @@ fn layer_shapes() -> Vec<(&'static str, Gemm)> {
 }
 
 fn bench_layers(c: &mut Criterion) {
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let mut group = c.benchmark_group("gemm_layers");
     group.sample_size(10);
     for (label, g) in layer_shapes() {
@@ -93,11 +94,9 @@ fn bench_layers(c: &mut Criterion) {
         });
     }
     group.finish();
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 fn bench_prepacked(c: &mut Criterion) {
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let mut group = c.benchmark_group("gemm_prepacked");
     group.sample_size(10);
     // Weight-stationary conv product: A = filter matrix, packed once for
@@ -120,8 +119,52 @@ fn bench_prepacked(c: &mut Criterion) {
         })
     });
     group.finish();
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
-criterion_group!(benches, bench_square, bench_layers, bench_prepacked);
+/// Products around `gemm::PAR_FLOPS`, smallest `m·k·n` first.
+fn fork_shapes() -> Vec<(&'static str, Gemm)> {
+    vec![
+        // FNN-3 weight gradients at 16 samples per rank: dW = dYᵀ · X.
+        ("fnn3_fc2_dw", Gemm::tn(150, 16, 206)),
+        ("fnn3_fc1_dw", Gemm::tn(206, 16, 784)),
+        ("fnn3_fc1_dw_b32", Gemm::tn(206, 32, 784)),
+        ("fnn3_fc1_dw_b64", Gemm::tn(206, 64, 784)),
+        ("square_256", Gemm::nn(256, 256, 256)),
+        // LSTM-PTB input-weight gradient: 4h × batch × embedding.
+        ("lstm_dwi", Gemm::tn(2600, 20, 650)),
+    ]
+}
+
+fn bench_fork(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm_fork");
+    group.sample_size(30);
+    for (label, g) in fork_shapes() {
+        let (a, b, mut cbuf) = operands(&g, 31);
+        group.bench_with_input(BenchmarkId::new("forked", label), &g, |bch, g| {
+            bch.iter(|| {
+                g.run_packed(&g.pack_a(&a), &g.pack_b(&b), &mut cbuf, true);
+                std::hint::black_box(cbuf[0])
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("calling_thread", label), &g, |bch, g| {
+            bch.iter(|| {
+                g.run_st(&a, &b, &mut cbuf);
+                std::hint::black_box(cbuf[0])
+            })
+        });
+    }
+    group.finish();
+}
+
+fn with_width(width: usize, c: &mut Criterion, groups: &[fn(&mut Criterion)]) {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+    pool.install(|| groups.iter().for_each(|group| group(c)));
+}
+
+fn all_groups(c: &mut Criterion) {
+    with_width(1, c, &[bench_square, bench_layers, bench_prepacked]);
+    with_width(2, c, &[bench_fork]);
+}
+
+criterion_group!(benches, all_groups);
 criterion_main!(benches);

@@ -18,6 +18,7 @@
 //!   traffic is measured socket bytes.
 
 use crate::collective::CommHandle;
+use crate::sim::rank_pool;
 use crate::transport::inproc::InProcShared;
 use crate::transport::rendezvous::WorldSpec;
 use crate::transport::tcp::{MasterEndpoint, Tcp};
@@ -112,7 +113,8 @@ impl HierarchicalComm {
 /// mailbox world (measured time — a send is a memcpy), while the `groups`
 /// leaders hold real loopback-TCP endpoints to each other (measured socket
 /// bytes and wall time). Returns per-rank results in flat rank order
-/// (`rank = group · group_size + intra_rank`).
+/// (`rank = group · group_size + intra_rank`). Each rank runs at rayon
+/// width `max(1, W / (groups · group_size))`, W being the caller's width.
 pub fn run_cluster_hier_threads<T, F>(groups: usize, group_size: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -137,6 +139,7 @@ where
             } else {
                 None
             };
+            let pool = rank_pool(world);
             let f = &f;
             joins.push(s.spawn(move || {
                 let intra = CommHandle::new(Box::new(endpoint), None);
@@ -145,7 +148,8 @@ where
                         .unwrap_or_else(|e| panic!("leader {g} rendezvous failed: {e}"));
                     CommHandle::new(Box::new(t), None)
                 });
-                *slot = Some(f(rank, HierarchicalComm::from_parts(intra, inter, g, groups)));
+                let hc = HierarchicalComm::from_parts(intra, inter, g, groups);
+                *slot = Some(pool.install(|| f(rank, hc)));
             }));
         }
         for j in joins {

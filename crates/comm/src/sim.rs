@@ -1,4 +1,5 @@
-//! In-process cluster construction and the thread-rank spawn helper.
+//! In-process cluster construction, the thread-rank spawn helper, and the
+//! thread budget every launcher gives its ranks.
 
 use crate::collective::CommHandle;
 use crate::cost::CostModel;
@@ -32,8 +33,26 @@ impl Cluster {
     }
 }
 
+/// The rayon width of one of `ranks` ranks that share the calling thread's
+/// cores: its [`rayon::current_num_threads`] divided by `ranks`, at least 1.
+/// Launchers compute it on the calling thread and give it to each rank (an
+/// `install`ed pool for a rank thread, `RAYON_NUM_THREADS` for a forked
+/// rank), so P co-hosted ranks fork about as many threads as there are
+/// cores, not P times as many. The width only sizes the fork-join; kernels
+/// split work in fixed chunks, so results do not depend on it.
+pub(crate) fn rank_budget(ranks: usize) -> usize {
+    (rayon::current_num_threads() / ranks.max(1)).max(1)
+}
+
+/// A pool of width [`rank_budget`]`(ranks)`, to `install` around a rank
+/// thread's body.
+pub(crate) fn rank_pool(ranks: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new().num_threads(rank_budget(ranks)).build().expect("rank pool")
+}
+
 /// Runs `f` on `world` simulated ranks (one OS thread each) and returns the
-/// per-rank results in rank order. Panics in any rank propagate.
+/// per-rank results in rank order. Panics in any rank propagate. Each rank
+/// runs at rayon width `max(1, W / world)`, W being the caller's width.
 ///
 /// ```
 /// use cluster_comm::{run_cluster, NetworkProfile};
@@ -55,9 +74,10 @@ where
         let mut joins = Vec::with_capacity(world);
         for (rank, slot) in results.iter_mut().enumerate() {
             let mut handle = cluster.handle(rank);
+            let pool = rank_pool(world);
             let f = &f;
             joins.push(s.spawn(move || {
-                *slot = Some(f(&mut handle));
+                *slot = Some(pool.install(|| f(&mut handle)));
             }));
         }
         for j in joins {

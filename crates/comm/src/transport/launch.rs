@@ -15,6 +15,7 @@
 //! (spawned with `<test_name> --exact`).
 
 use crate::collective::CommHandle;
+use crate::sim::{rank_budget, rank_pool};
 use crate::transport::rendezvous::WorldSpec;
 use crate::transport::tcp::{self, MasterEndpoint, Tcp};
 use crate::transport::wire;
@@ -121,6 +122,9 @@ fn result_path(dir: &std::path::Path, rank: usize) -> PathBuf {
 /// the parent panics. A child that exits nonzero short-circuits the wait
 /// the same way — its siblings are killed immediately rather than idling
 /// out the full deadline inside collectives that can no longer complete.
+///
+/// Every child runs on this machine, so each gets `RAYON_NUM_THREADS` =
+/// `max(1, W / world)`, W being the caller's rayon width.
 pub fn run_multiprocess_spec<C>(spec: &WorldSpec, child_args: &[&str], child: C) -> Vec<Vec<f32>>
 where
     C: FnOnce(usize) -> Vec<f32>,
@@ -147,6 +151,7 @@ where
     ));
     std::fs::create_dir_all(&out_dir).expect("create result dir");
 
+    let budget = rank_budget(world);
     let mut children = Vec::with_capacity(world);
     for rank in 0..world {
         let mut cmd = Command::new(&exe);
@@ -156,6 +161,7 @@ where
         }
         let c = cmd
             .env(ENV_OUT_DIR, &out_dir)
+            .env("RAYON_NUM_THREADS", budget.to_string())
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())
             .spawn()
@@ -265,7 +271,8 @@ where
 /// over real loopback sockets (per-thread rendezvous against a pre-bound
 /// master listener, so there is no port race). Same data plane as
 /// [`run_cluster_tcp`] without the process-management overhead — the right
-/// tool for benches and high-iteration tests.
+/// tool for benches and high-iteration tests. Each rank runs at rayon width
+/// `max(1, W / world)`, W being the caller's width.
 pub fn run_cluster_tcp_threads<T, F>(world: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -284,12 +291,13 @@ where
             } else {
                 MasterEndpoint::Addr(master_addr.clone())
             };
+            let pool = rank_pool(world);
             let f = &f;
             joins.push(s.spawn(move || {
                 let t = Tcp::connect_parts(rank, world, endpoint, None)
                     .unwrap_or_else(|e| panic!("rank {rank} rendezvous failed: {e}"));
                 let mut h = CommHandle::new(Box::new(t), None);
-                *slot = Some(f(&mut h));
+                *slot = Some(pool.install(|| f(&mut h)));
             }));
         }
         for j in joins {

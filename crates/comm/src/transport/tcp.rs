@@ -167,7 +167,16 @@ fn rendezvous_deadline() -> Instant {
     Instant::now() + secs
 }
 
+/// Waits between failed dials of [`connect_retry`]: 0.5 ms, doubling up to
+/// 20 ms. A peer that is about to listen costs its dialler about a
+/// millisecond, not a fixed 20 ms poll.
+fn connect_backoff() -> impl Iterator<Item = Duration> {
+    const CAP: Duration = Duration::from_millis(20);
+    std::iter::successors(Some(Duration::from_micros(500)), |d| Some((*d * 2).min(CAP)))
+}
+
 fn connect_retry(addr: &str, deadline: Instant) -> Result<TcpStream, String> {
+    let mut backoff = connect_backoff();
     loop {
         match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
@@ -175,7 +184,7 @@ fn connect_retry(addr: &str, deadline: Instant) -> Result<TcpStream, String> {
                 if Instant::now() >= deadline {
                     return Err(format!("could not reach rendezvous master at {addr}: {e}"));
                 }
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(backoff.next().expect("endless backoff"));
             }
         }
     }
@@ -545,6 +554,21 @@ impl Drop for Tcp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn connect_backoff_doubles_from_half_a_millisecond_to_a_20_ms_cap() {
+        let ms: Vec<f64> = connect_backoff().take(9).map(|d| d.as_secs_f64() * 1e3).collect();
+        assert_eq!(ms, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 20.0, 20.0, 20.0]);
+    }
+
+    #[test]
+    fn connect_retry_keeps_its_deadline_and_error() {
+        let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string();
+        let t0 = Instant::now();
+        let e = connect_retry(&addr, t0 + Duration::from_millis(30)).unwrap_err();
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        assert!(e.starts_with(&format!("could not reach rendezvous master at {addr}: ")), "{e}");
+    }
 
     #[test]
     fn from_env_reports_missing_vars() {

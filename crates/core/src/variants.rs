@@ -260,6 +260,7 @@ impl GradientSynchronizer for KLevelSgd {
             .expect_reduced();
         exchange_seconds += tx.elapsed().as_secs_f64();
         let wire_bits = comm.stats().logical_wire_bits - bits_before;
+        let t2 = Instant::now();
         let inv = 1.0 / comm.world() as f32;
         for m in gmeans.iter_mut() {
             *m *= inv;
@@ -268,8 +269,10 @@ impl GradientSynchronizer for KLevelSgd {
             let b = bucket[i] as usize;
             *v += if b < l { gmeans[b] } else { -gmeans[b] };
         }
+        let restore_seconds = t2.elapsed().as_secs_f64();
+        comm.advance_compute(restore_seconds);
         SyncStats {
-            compress_seconds: compress_head + residual_seconds,
+            compress_seconds: compress_head + residual_seconds + restore_seconds,
             exchange_seconds,
             wire_bits,
             ..SyncStats::default()

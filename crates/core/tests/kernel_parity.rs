@@ -11,8 +11,8 @@
 //!   compared (see [`bits`]).
 //! * [`split_means`] counts must be exact and its means within 1e-6
 //!   relative error of a sequential f64 reference.
-//! * Both kernels must be bit-identical under `RAYON_NUM_THREADS` ∈
-//!   {1, 2, 4}.
+//! * Both kernels must be bit-identical at pool widths 1, 2 and 4 (scoped
+//!   with `ThreadPool::install`, so sibling tests keep their own width).
 
 use a2sgd::mean2::{
     residual_enc_split, residual_restore_in_place, split_means, TwoMeans, FORK_GRAIN,
@@ -220,20 +220,21 @@ fn parity_holds_across_chunk_and_fork_boundaries() {
 fn kernels_are_bit_identical_across_thread_counts() {
     for n in [FORK_GRAIN - 3, FORK_GRAIN + 12_345] {
         let g = sprinkled(n, 7 + n as u64, FINITE_SPECIALS);
-        let run_with = |threads: &str| {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let m = split_means(&g);
-            let mut fused = g.clone();
-            residual_restore_in_place(&mut fused, &m, 0.5, 0.25);
-            let mut acc = g.clone();
-            let mut out = vec![0.0f32; n];
-            residual_enc_split(&mut acc, &mut out, &m, 0.5, 0.25);
-            std::env::remove_var("RAYON_NUM_THREADS");
-            let means = (m.mu_pos.to_bits(), m.mu_neg.to_bits(), m.n_pos, m.n_neg);
-            (means, bits(&fused), bits(&acc), bits(&out))
+        let run_with = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let m = split_means(&g);
+                let mut fused = g.clone();
+                residual_restore_in_place(&mut fused, &m, 0.5, 0.25);
+                let mut acc = g.clone();
+                let mut out = vec![0.0f32; n];
+                residual_enc_split(&mut acc, &mut out, &m, 0.5, 0.25);
+                let means = (m.mu_pos.to_bits(), m.mu_neg.to_bits(), m.n_pos, m.n_neg);
+                (means, bits(&fused), bits(&acc), bits(&out))
+            })
         };
-        let one = run_with("1");
-        assert!(one == run_with("2"), "n = {n}: 1-thread vs 2-thread results differ in bits");
-        assert!(one == run_with("4"), "n = {n}: 1-thread vs 4-thread results differ in bits");
+        let one = run_with(1);
+        assert!(one == run_with(2), "n = {n}: 1-thread vs 2-thread results differ in bits");
+        assert!(one == run_with(4), "n = {n}: 1-thread vs 4-thread results differ in bits");
     }
 }

@@ -27,9 +27,11 @@
 //!   distributed with the safe [`par::par_chunks_mut`] (disjoint `&mut`
 //!   chunks — no raw-pointer `SendPtr`). Each C element is owned by exactly
 //!   one stripe and accumulated in a fixed order (`pc` ascending, then `kk`
-//!   ascending), so results are **bit-identical for every thread count**:
-//!   `RAYON_NUM_THREADS=1/2/4/...` all produce the same bytes. The
-//!   determinism tests in `tests/gemm_parity.rs` pin this contract.
+//!   ascending), so results are **bit-identical for every pool width**:
+//!   widths 1/2/4/... all produce the same bytes, whether they come from
+//!   `RAYON_NUM_THREADS`, a `ThreadPool::install` scope or a rank's thread
+//!   budget. The determinism tests in `tests/gemm_parity.rs` pin this
+//!   contract.
 //!
 //! Weight-stationary callers amortise packing: convolution packs the filter
 //! matrix once per batch ([`Gemm::pack_a`]) and the LSTM packs its recurrent
@@ -56,8 +58,11 @@ pub const KC: usize = 256;
 pub const NC: usize = 256;
 
 /// Above this many fused multiply-adds (`m·k·n`), [`Gemm::run`] fans the
-/// output stripes across the rayon pool.
-pub const PAR_FLOPS: usize = 1 << 18;
+/// output stripes across the rayon pool. Set from `bench_gemm`'s
+/// `gemm_fork` sweep at width 2: forking lost on FNN-3's `fc` weight
+/// gradients (`m·k·n` 0.5 M and 2.6 M), broke even at 5.2 M and won from
+/// 10 M up.
+pub const PAR_FLOPS: usize = 1 << 22;
 
 /// Descriptor for one matrix product `C[m,n] = op(A) · op(B)`, where
 /// `op(X) = Xᵀ` when the corresponding `trans_*` flag is set.

@@ -85,10 +85,12 @@ where
     }
 }
 
-/// Current worker-pool width (`RAYON_NUM_THREADS` override or the host's
-/// `available_parallelism`). Kernels use it only to size work *buffers*
-/// (e.g. how many images share one im2col scratch), never to change the
-/// arithmetic: results must stay bit-identical across thread counts.
+/// The calling thread's pool width: the innermost `rayon::ThreadPool::install`
+/// scope it runs in (each cluster rank runs in one sized to its share of
+/// the cores), otherwise the process default (`RAYON_NUM_THREADS` or the
+/// host's `available_parallelism`, read once). Kernels use it only to size
+/// work *buffers* (e.g. how many images share one im2col scratch), never to
+/// change the arithmetic: results must stay bit-identical across widths.
 pub fn num_threads() -> usize {
     rayon::current_num_threads()
 }

@@ -7,11 +7,12 @@
 //!   `MC`/`MR`/`NR` tile edges, and `k > KC` so multi-slab accumulation is
 //!   exercised.
 //! * The bit-determinism test asserts the documented contract: results are
-//!   bit-identical across `RAYON_NUM_THREADS` ∈ {1, 2, 4}.
+//!   bit-identical at pool widths 1, 2 and 4 (scoped with
+//!   `ThreadPool::install`, so sibling tests keep their own width).
 //! * The non-finite regression pins the bugfix for the old kernels'
 //!   `aik == 0.0` skip, which silently dropped `0·inf = NaN`.
 
-use mini_tensor::gemm::{Gemm, KC, MC, MR, NR};
+use mini_tensor::gemm::{Gemm, KC, MC, MR, NR, PAR_FLOPS};
 use mini_tensor::rng::SeedRng;
 use proptest::prelude::*;
 
@@ -83,22 +84,22 @@ proptest! {
 fn bit_identical_across_thread_counts() {
     // Large enough that Gemm::run takes the parallel path (m·k·n ≥
     // PAR_FLOPS and m > MC) and spans several stripes with a ragged tail.
-    let (m, k, n) = (3 * MC + MR - 1, KC + 9, 2 * NR + 3);
+    let (m, k, n) = (3 * MC + MR - 1, KC + 9, 7 * NR + 3);
+    assert!(m * k * n >= PAR_FLOPS && m > MC);
     let g = Gemm::nn(m, k, n);
     let mut rng = SeedRng::new(4242);
     let a = rng.randn_tensor(&[g.a_len()], 1.0).into_vec();
     let b = rng.randn_tensor(&[g.b_len()], 1.0).into_vec();
 
-    let run_with = |threads: &str| {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
+    let run_with = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let mut c = vec![0.0f32; g.c_len()];
-        g.run(&a, &b, &mut c);
-        std::env::remove_var("RAYON_NUM_THREADS");
+        pool.install(|| g.run(&a, &b, &mut c));
         c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
     };
-    let c1 = run_with("1");
-    let c2 = run_with("2");
-    let c4 = run_with("4");
+    let c1 = run_with(1);
+    let c2 = run_with(2);
+    let c4 = run_with(4);
     assert_eq!(c1, c2, "1-thread vs 2-thread results differ in bits");
     assert_eq!(c1, c4, "1-thread vs 4-thread results differ in bits");
 }
