@@ -91,9 +91,9 @@ impl HookLayout {
 }
 
 /// One hooked training step: `begin` before the backward pass, pass as the
-/// hook to `backward_hooked`, `finish` afterwards to drain the session
-/// into `flat` (which then holds the synchronized gradient, ready for
-/// `scatter_grads`).
+/// hook to `backward_params` (or `backward_hooked`), `finish` afterwards
+/// to drain the session into `flat` (which then holds the synchronized
+/// gradient, ready for `scatter_grads`).
 pub struct HookedStep<'a> {
     layout: &'a HookLayout,
     session: SyncSession<'a>,

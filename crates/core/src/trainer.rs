@@ -15,6 +15,7 @@ use crate::registry::AlgoKind;
 use a2sgd_sched::{SchedKind, SyncDecision, SyncObservation};
 use cluster_comm::{run_cluster, CommBackend, CommHandle, NetworkProfile};
 use mini_nn::flat::{flatten_grads, flatten_params, load_params, param_count, scatter_grads};
+use mini_nn::hook::NullHook;
 use mini_nn::loss::softmax_cross_entropy;
 use mini_nn::models::{LstmLm, LstmLmConfig, ModelKind, Preset};
 use mini_nn::module::{Mode, Module, ModuleExt};
@@ -147,7 +148,7 @@ pub struct TrainConfig {
     pub bucket_bytes: Option<usize>,
     /// Overlap bucket synchronization with the backward pass itself (the
     /// DDP hook shape): when `true`, a [`crate::overlap::HookedStep`]
-    /// rides [`mini_nn::module::Module::backward_hooked`] and submits each
+    /// rides [`mini_nn::module::Module::backward_params`] and submits each
     /// bucket to the sync session the moment its last layer's gradient
     /// lands — the output layer's bucket is on the wire (streaming
     /// synchronizers) or staged (global-statistics synchronizers) while
@@ -612,7 +613,7 @@ fn run_worker(
                 // drains the tail after backward returns.
                 let mut step = HookedStep::begin(layout, sync.as_mut(), flat, comm);
                 let bwd_ns = a2sgd_trace::now_ns();
-                let _ = model.backward_hooked(&lo.dlogits, &mut step);
+                model.backward_params(&lo.dlogits, &mut step);
                 if a2sgd_trace::enabled() {
                     a2sgd_trace::closed_span("phase/backward", bwd_ns, a2sgd_trace::Args::None);
                 }
@@ -628,7 +629,7 @@ fn run_worker(
                 stats
             } else {
                 let bwd_ns = a2sgd_trace::now_ns();
-                let _ = model.backward(&lo.dlogits);
+                model.backward_params(&lo.dlogits, &mut NullHook);
                 flatten_grads(model.as_mut(), flat);
                 if a2sgd_trace::enabled() {
                     a2sgd_trace::closed_span("phase/backward", bwd_ns, a2sgd_trace::Args::None);

@@ -4,8 +4,10 @@
 //! compared against central differences of the scalar loss
 //! `L(x) = Σ out(x) ⊙ m` for a fixed random mask `m`. Both the input
 //! gradient and every parameter gradient are checked on a random subset of
-//! coordinates.
+//! coordinates, and `backward_params` must reproduce `backward`'s parameter
+//! gradients bit for bit.
 
+use crate::hook::NullHook;
 use crate::module::{Mode, Module, ModuleExt};
 use mini_tensor::rng::SeedRng;
 use mini_tensor::Tensor;
@@ -46,6 +48,20 @@ pub fn check_module(mut module: Box<dyn Module>, in_dims: &[usize], seed: u64, t
     let dx = module.backward(&mask);
     let mut pgrads: Vec<(String, Vec<f32>)> = Vec::new();
     module.visit_params(&mut |p| pgrads.push((p.name.clone(), p.grad.as_slice().to_vec())));
+
+    // `backward_params` must leave the same parameter gradients, bit for
+    // bit, so every layer's gradcheck also covers its override.
+    module.zero_grad();
+    let _ = loss(&mut module, &x);
+    module.backward_params(&mask, &mut NullHook);
+    let mut pi = 0usize;
+    module.visit_params(&mut |p| {
+        let (name, want) = &pgrads[pi];
+        let same = want.len() == p.grad.numel()
+            && want.iter().zip(p.grad.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "backward_params left different gradients than backward for {name}");
+        pi += 1;
+    });
 
     // Small enough that a ±eps perturbation rarely crosses a ReLU/pool
     // kink (flips showed up as spurious failures at 1e-2), large enough

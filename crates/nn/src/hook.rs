@@ -18,6 +18,9 @@
 //! * announcement order within one layer follows that layer's
 //!   `visit_params` order; across layers it follows backward execution
 //!   order (reverse topological for [`Sequential`](crate::layers::Sequential)).
+//!
+//! [`Module::backward_params`](crate::module::Module::backward_params)
+//! keeps the same contract and the same announcement sequence.
 
 use crate::param::Param;
 

@@ -1,7 +1,7 @@
 //! Sequential container.
 
 use crate::hook::{GradHook, NullHook};
-use crate::module::{Mode, Module};
+use crate::module::{Mode, Module, ModuleExt};
 use crate::param::Param;
 use mini_tensor::Tensor;
 
@@ -62,6 +62,21 @@ impl Module for Sequential {
             cur = m.backward_hooked(&cur, hook);
         }
         cur
+    }
+
+    fn backward_params(&mut self, dout: &Tensor, hook: &mut dyn GradHook) {
+        // Children before the first one with parameters only turn the
+        // input gradient around, which nobody reads: run none of them, and
+        // ask that first child for its parameter gradients alone.
+        let Some(first) = self.children.iter_mut().position(|m| m.param_count() > 0) else {
+            return;
+        };
+        let (head, tail) = self.children.split_at_mut(first + 1);
+        let mut cur = dout.clone();
+        for m in tail.iter_mut().rev() {
+            cur = m.backward_hooked(&cur, hook);
+        }
+        head[first].backward_params(&cur, hook);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -22,7 +22,13 @@ pub enum Mode {
 /// * `backward` **accumulates** parameter gradients and returns the gradient
 ///   with respect to the forward input;
 /// * `visit_params` visits parameters in a deterministic order — the
-///   flatten/scatter helpers and optimizer state rely on it.
+///   flatten/scatter helpers and optimizer state rely on it;
+/// * `backward_params` leaves bit-identical parameter gradients and makes
+///   the same hook announcements as `backward_hooked`, but computes no
+///   input gradient. Containers may therefore skip the backward pass of
+///   children that have no parameters and sit before every child that
+///   does, so such a child's `backward` must have no effect beyond its
+///   return value.
 pub trait Module: Send {
     /// Computes the module output for `x`.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
@@ -47,6 +53,19 @@ pub trait Module: Send {
         let dx = self.backward(dout);
         self.visit_params(&mut |p| hook.grad_ready(p));
         dx
+    }
+
+    /// [`backward_hooked`](Self::backward_hooked) for a caller that
+    /// discards the input gradient — a trainer's backward pass: the same
+    /// parameter gradients, bit for bit, and the same hook announcements,
+    /// but no gradient with respect to the forward input.
+    ///
+    /// The default runs `backward_hooked` and drops its result. Layers
+    /// whose input gradient is a separate product (`Linear`'s `dout·W`)
+    /// override it to skip that work, and `Sequential` runs no backward at
+    /// all for its parameterless leading children.
+    fn backward_params(&mut self, dout: &Tensor, hook: &mut dyn GradHook) {
+        let _ = self.backward_hooked(dout, hook);
     }
 
     /// Visits every trainable parameter in a stable order.

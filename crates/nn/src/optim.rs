@@ -49,16 +49,19 @@ impl Sgd {
             assert_eq!(v.len(), p.numel(), "parameter set changed between steps");
             let w = p.data.as_mut_slice();
             let g = p.grad.as_slice();
+            // Zipped slices carry no bounds checks, so the loops vectorise.
+            // Keep each element's ops and their order: Rust never contracts
+            // them into FMA, so updates stay bit-exact (tests/optim_parity.rs).
             if momentum == 0.0 {
-                for i in 0..w.len() {
-                    let grad = g[i] + wd * w[i];
-                    w[i] -= lr * grad;
+                for (w, &g) in w.iter_mut().zip(g) {
+                    let grad = g + wd * *w;
+                    *w -= lr * grad;
                 }
             } else {
-                for i in 0..w.len() {
-                    let grad = g[i] + wd * w[i];
-                    v[i] = momentum * v[i] + grad;
-                    w[i] -= lr * v[i];
+                for ((w, &g), v) in w.iter_mut().zip(g).zip(v.iter_mut()) {
+                    let grad = g + wd * *w;
+                    *v = momentum * *v + grad;
+                    *w -= lr * *v;
                 }
             }
             idx += 1;
@@ -88,7 +91,8 @@ impl Lars {
         &self.velocity
     }
 
-    /// Restores velocity lanes captured by [`Self::velocity_lanes`].
+    /// Restores velocity lanes captured by [`Self::velocity_lanes`]. The
+    /// next `step` asserts each lane still matches its parameter's size.
     pub fn set_velocity_lanes(&mut self, lanes: Vec<Vec<f32>>) {
         self.velocity = lanes;
     }
@@ -103,6 +107,7 @@ impl Lars {
                 velocity.push(vec![0.0f32; p.numel()]);
             }
             let v = &mut velocity[idx];
+            assert_eq!(v.len(), p.numel(), "parameter set changed between steps");
             let w_norm = ops::norm2(p.data.as_slice()) as f32;
             let g_norm = ops::norm2(p.grad.as_slice()) as f32;
             // Local rate: η‖w‖ / (‖g‖ + wd‖w‖); falls back to 1 for fresh
@@ -114,10 +119,11 @@ impl Lars {
             };
             let w = p.data.as_mut_slice();
             let g = p.grad.as_slice();
-            for i in 0..w.len() {
-                let grad = local * (g[i] + wd * w[i]);
-                v[i] = momentum * v[i] + grad;
-                w[i] -= lr * v[i];
+            // Zipped and bit-exact for the same reasons as `Sgd::step`.
+            for ((w, &g), v) in w.iter_mut().zip(g).zip(v.iter_mut()) {
+                let grad = local * (g + wd * *w);
+                *v = momentum * *v + grad;
+                *w -= lr * *v;
             }
             idx += 1;
         });
